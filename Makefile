@@ -6,10 +6,10 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 STATICCHECK := $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: ci verify vet staticcheck lint lint-fixtures race bench bench-smoke bench-scale bench-tenants bench-heat clean
+.PHONY: ci verify vet staticcheck lint lint-fixtures race fuzz-smoke bench bench-smoke bench-scale bench-tenants bench-heat clean
 
 # Everything CI gates on.
-ci: verify vet staticcheck lint race bench-smoke bench-scale bench-tenants bench-heat
+ci: verify vet staticcheck lint race fuzz-smoke bench-smoke bench-scale bench-tenants bench-heat
 
 # Tier-1: the whole tree must build and every test must pass.
 verify:
@@ -63,6 +63,20 @@ lint-fixtures:
 race:
 	$(GO) test -race -short ./internal/experiments/ ./internal/sim/ ./internal/scenario/ ./internal/migrate/ ./internal/pages/ ./internal/access/ ./internal/shard/ ./internal/tenant/ ./internal/heat/
 	$(GO) test -race -short -run 'TestShardedChurnBitIdentical|TestGoldenPlacementTraces|TestGoldenTenantTraces' .
+
+# A fixed short run of every native fuzz target: the scenario
+# validator and the differential oracles guarding the map-free HeMem hot
+# path (dense OrderedSet vs a map-indexed model, HeMem's shared-index
+# bins vs per-bin sets plus a map, the sampler's guide-table lookup vs
+# sort.SearchFloat64s). Plain `go test` already replays the committed
+# seed corpora under testdata/fuzz; this explores beyond them. `-fuzz`
+# takes one package per run, hence one line per target.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioValidate$$' -fuzztime $(FUZZTIME) ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzOrderedSet$$' -fuzztime $(FUZZTIME) ./internal/access/
+	$(GO) test -run '^$$' -fuzz '^FuzzGuideSearch$$' -fuzztime $(FUZZTIME) ./internal/access/
+	$(GO) test -run '^$$' -fuzz '^FuzzBinSet$$' -fuzztime $(FUZZTIME) ./internal/hemem/
 
 # Headline figure metrics as benchmarks.
 bench:

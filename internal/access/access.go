@@ -4,15 +4,14 @@
 // frequency tracker with HeMem-style cooling, and a page-table
 // scan / hint-fault model for TPP.
 //
-// The two per-quantum hot paths here — the sampler's CDF rebuild and
-// the tracker's cooling pass — shard by contiguous range over a fixed
-// shard count (shard.DefaultShards) with partials reduced in shard
-// index order, so their results are identical at every worker count.
+// The two bulk passes here — the sampler's CDF rebuild and the
+// tracker's cooling pass — shard by contiguous range over a fixed shard
+// count (shard.DefaultShards) with partials reduced in shard index
+// order, so their results are identical at every worker count.
 package access
 
 import (
 	"fmt"
-	"sort"
 
 	"colloid/internal/obs"
 	"colloid/internal/pages"
@@ -24,12 +23,20 @@ import (
 // true page weights — exactly what PEBS sampling of memory accesses
 // observes. The cumulative distribution is cached and rebuilt only when
 // the weight distribution changes (AddressSpace.Version). The rebuild
-// is the dominant cost of a quantum at 10^6 pages, so it runs in three
-// sharded passes: per-shard nonzero counts and weight totals, a serial
-// ordered reduce into per-shard offsets, then a parallel fill of the
-// flat cum/ids arrays. The per-shard prefix sums seed from the reduced
-// offsets in shard index order, making the CDF bytes independent of the
-// worker count.
+// runs in three sharded passes: per-shard nonzero counts and weight
+// totals, a serial ordered reduce into per-shard offsets, then a
+// parallel fill of the flat cum/ids arrays. The per-shard prefix sums
+// seed from the reduced offsets in shard index order, making the CDF
+// bytes independent of the worker count.
+//
+// Each draw inverts the CDF by bisection. A CDF that has served
+// len(cum)/guideAfter draws also gets a guide table (cutpoint method,
+// Chen & Asau 1974): guide[k] is the first index whose cumulative weight
+// reaches k/m of the total, so later draws bisect only between two
+// adjacent cutpoints. A CDF rebuilt every few draws (10^6 pages with
+// 1024 draws a quantum) never builds one. On a nondecreasing CDF both
+// searches return the index sort.SearchFloat64s would, so a uniform draw
+// selects the page inverse-CDF sampling defines.
 type Sampler struct {
 	as      *pages.AddressSpace
 	rng     *stats.RNG
@@ -38,6 +45,8 @@ type Sampler struct {
 	built   bool
 	cum     []float64
 	ids     []pages.PageID
+	guide   []int32 // empty until draws reaches len(cum)/guideAfter
+	draws   int     // draws since the last rebuild
 	total   float64
 
 	mSamples  *obs.Counter
@@ -121,6 +130,8 @@ func (s *Sampler) rebuild() {
 	if n > 0 {
 		s.total = s.cum[n-1]
 	}
+	s.guide = s.guide[:0]
+	s.draws = 0
 	s.version = s.as.Version()
 	s.built = true
 }
@@ -135,12 +146,95 @@ func (s *Sampler) Sample() pages.PageID {
 	if s.total <= 0 {
 		return pages.NoPage
 	}
+	if len(s.guide) == 0 {
+		if s.draws++; s.draws >= len(s.cum)/guideAfter {
+			s.guide = buildGuide(s.guide, s.cum, s.total)
+		}
+	}
 	x := s.rng.Float64() * s.total
-	i := sort.SearchFloat64s(s.cum, x)
+	i := guideSearch(s.cum, s.guide, s.total, x)
 	if i >= len(s.ids) {
 		i = len(s.ids) - 1
 	}
 	return s.ids[i]
+}
+
+// guideAfter sets when a CDF gets a guide table: after len(cum)/guideAfter
+// draws. The build sweeps cum once; that many bisections, each
+// log2(len(cum)) dependent loads, have already cost several sweeps.
+const guideAfter = 4
+
+// guideSpan is how many CDF entries share one cutpoint: a guided draw
+// binary-searches about that many contiguous entries, and the table
+// costs 4/guideSpan bytes per weighted page.
+const guideSpan = 4
+
+// buildGuide fills guide (reusing its storage) with m = ⌈n/guideSpan⌉
+// cutpoints over the n = len(cum) entries: guide[k] is the first index
+// i with cum[i] >= k*total/m, or n when none is. One merged sweep over
+// cum, O(n).
+func buildGuide(guide []int32, cum []float64, total float64) []int32 {
+	n := len(cum)
+	m := (n + guideSpan - 1) / guideSpan
+	if cap(guide) < m {
+		guide = make([]int32, m)
+	}
+	guide = guide[:m]
+	step := total / float64(m)
+	i := 0
+	for k := range guide {
+		t := float64(k) * step
+		for i < n && cum[i] < t {
+			i++
+		}
+		guide[k] = int32(i)
+	}
+	return guide
+}
+
+// guideSearch returns the smallest i with cum[i] >= x (len(cum) when
+// none is): sort.SearchFloat64s(cum, x), whose bisection it runs.
+// Without a guide it bisects all of cum. With m = len(guide) cutpoints
+// it bisects between the cutpoints of x's bucket k = floor(x/total*m)
+// and k+1, then walks down while the previous entry still reaches x and
+// up while the current one falls short; on a nondecreasing cum that
+// corrects any rounding of k, so the guide only narrows the search. A
+// draw past the last bucket, or a NaN one, starts at n. The sharded
+// prefix sums can dip at a shard boundary (a weight below the rounding
+// gap between two shards' sums); there a guided draw returns a crossing
+// of x that may differ from the bisection's.
+func guideSearch(cum []float64, guide []int32, total, x float64) int {
+	n, m := len(cum), len(guide)
+	lo, hi := 0, n
+	if m > 0 {
+		lo = n
+		if f := x / total * float64(m); f < float64(m) {
+			k := 0
+			if f > 0 {
+				k = int(f)
+			}
+			lo = int(guide[k])
+			if k+1 < m {
+				hi = int(guide[k+1])
+			}
+		}
+	}
+	for lo < hi { // sort.Search's bisection, with its predicate
+		h := int(uint(lo+hi) >> 1)
+		if !(cum[h] >= x) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	i := lo
+	for i > 0 && cum[i-1] >= x {
+		i--
+	}
+	for i < n && cum[i] < x {
+		i++
+	}
+	return i
 }
 
 // SampleN draws n pages with replacement, appending to dst.
@@ -412,7 +506,7 @@ func (f *FreqTracker) BytesByCount(hist []int64, v pages.View) {
 			if b >= len(hist) {
 				b = len(hist) - 1
 			}
-			h[b] += v.Bytes[i]
+			h[b] += int64(v.Bytes[i])
 		}
 	})
 	for s := 0; s < plan.Shards; s++ {

@@ -1,6 +1,7 @@
 package access
 
 import (
+	"sort"
 	"testing"
 
 	"colloid/internal/memsys"
@@ -156,4 +157,48 @@ func TestTrackerLifecycleConsistency(t *testing.T) {
 	if f.Count(100000) != 0 {
 		t.Fatal("out-of-range count not zero")
 	}
+}
+
+// Draws before and after the sampler builds its guide table select the
+// page a binary search of the whole CDF selects, and a rebuild drops
+// the table until the new CDF has served enough draws.
+func TestSamplerGuideMatchesBinarySearch(t *testing.T) {
+	as := shardTestSpace(t)
+	rng := stats.NewRNG(7)
+	for _, id := range as.LiveIDs() {
+		if rng.Float64() < 0.8 {
+			w := rng.Float64()
+			as.SetWeight(id, w*w*w)
+		}
+	}
+	s := NewSampler(as, stats.NewRNG(9))
+	ref := stats.NewRNG(9)
+	check := func(draws int) {
+		t.Helper()
+		for i := 0; i < draws; i++ {
+			got := s.Sample()
+			x := ref.Float64() * s.total
+			want := s.ids[min(sort.SearchFloat64s(s.cum, x), len(s.ids)-1)]
+			if got != want {
+				t.Fatalf("draw %d (guide %d entries): page %d, binary search %d", i, len(s.guide), got, want)
+			}
+		}
+	}
+	check(1)
+	after := len(s.cum) / guideAfter
+	check(after - 2)
+	if len(s.guide) != 0 {
+		t.Fatalf("guide built after %d draws, before %d", after-1, after)
+	}
+	check(1)
+	if len(s.guide) == 0 {
+		t.Fatalf("no guide after %d draws", after)
+	}
+	check(2 * len(s.cum))
+	as.SetWeight(as.LiveIDs()[5], 3.0)
+	check(1)
+	if len(s.guide) != 0 {
+		t.Fatal("guide survived a rebuild")
+	}
+	check(len(s.cum))
 }

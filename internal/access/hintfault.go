@@ -38,10 +38,7 @@ type HintFaultScanner struct {
 	markedAt map[pages.PageID]float64 // page -> mark timestamp (sec)
 	cursor   int                      // scan position over page IDs
 
-	idsCache   []pages.PageID
-	idsVersion uint64
-	idsValid   bool
-	scanCarry  float64
+	scanCarry float64
 }
 
 // Fault is one hint fault observed during a quantum.
@@ -127,7 +124,7 @@ func (h *HintFaultScanner) Step(nowSec, quantumSec, totalRatePerSec float64) []F
 // scan marks this quantum's share of live pages, resuming from the
 // previous cursor position like the kernel's incremental scanner.
 func (h *HintFaultScanner) scan(nowSec, quantumSec float64) {
-	ids := h.liveIDs()
+	ids := h.as.LiveView().Live
 	if len(ids) == 0 {
 		return
 	}
@@ -149,17 +146,4 @@ func (h *HintFaultScanner) scan(nowSec, quantumSec float64) {
 		budget--
 	}
 	h.cursor = (h.cursor + examined) % len(ids)
-}
-
-// liveIDs caches the live page list across quanta; the liveness-only
-// version invalidates it when pages split or coalesce. Keying on
-// LiveVersion rather than Version means pure weight updates (which
-// happen every quantum under hot-set drift) don't force a rebuild.
-func (h *HintFaultScanner) liveIDs() []pages.PageID {
-	if !h.idsValid || h.idsVersion != h.as.LiveVersion() {
-		h.idsCache = h.as.LiveIDs()
-		h.idsVersion = h.as.LiveVersion()
-		h.idsValid = true
-	}
-	return h.idsCache
 }

@@ -21,28 +21,35 @@ type Candidate struct {
 // the set is small); a candidate that would overshoot either bound is
 // skipped, and scanning stops once the remaining probability budget is
 // negligible or maxScan candidates have been examined.
+//
+// The input slice is consumed: the picks are compacted, in order, into
+// its prefix, and that prefix is returned (nil when nothing is picked),
+// so picking allocates nothing. Callers must not read candidates after
+// the call except through the result.
 func PickPages(candidates []Candidate, deltaP float64, limitBytes int64, maxScan int) []Candidate {
 	if deltaP <= 0 || limitBytes <= 0 {
 		return nil
 	}
-	var picked []Candidate
+	picked := 0
 	probLeft := deltaP
 	bytesLeft := limitBytes
-	scanned := 0
-	for _, c := range candidates {
+	for scanned, c := range candidates {
 		if maxScan > 0 && scanned >= maxScan {
 			break
 		}
-		scanned++
 		if probLeft <= deltaP*1e-3 || bytesLeft <= 0 {
 			break
 		}
 		if c.Probability > probLeft || c.Bytes > bytesLeft {
 			continue
 		}
-		picked = append(picked, c)
+		candidates[picked] = c
+		picked++
 		probLeft -= c.Probability
 		bytesLeft -= c.Bytes
 	}
-	return picked
+	if picked == 0 {
+		return nil
+	}
+	return candidates[:picked]
 }

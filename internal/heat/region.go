@@ -632,7 +632,7 @@ func (r *RegionTracker) BytesByCount(hist []int64, v pages.View) {
 					if v.Dead[id] {
 						continue
 					}
-					h[bkt] += v.Bytes[id]
+					h[bkt] += int64(v.Bytes[id])
 				}
 			})
 		}

@@ -223,7 +223,7 @@ func comparePageCounts(t *testing.T, what string, e, r []pageCount) {
 func syntheticView(n int) pages.View {
 	v := pages.View{
 		Dead:  make([]bool, n),
-		Bytes: make([]int64, n),
+		Bytes: make([]int32, n),
 	}
 	for i := 0; i < n; i++ {
 		v.Dead[i] = i%3 == 2

@@ -36,7 +36,8 @@ type Config struct {
 	HotThreshold uint32
 	// QuantumSec is the migration thread quantum (default 10 ms).
 	QuantumSec float64
-	// NumBins is the Colloid extension's bin count (default 5).
+	// NumBins is the Colloid extension's bin count (default 5, at most
+	// 255).
 	NumBins int
 	// Colloid enables the Colloid placement algorithm with the given
 	// options; nil runs vanilla HeMem.
@@ -79,12 +80,15 @@ type System struct {
 	// steady-state migration pass is O(|hotAlt|), not O(|hot|), and
 	// insertion-ordered so runs are reproducible.
 	hotAlt *access.OrderedSet
-	// bins[b] holds pages whose count falls in frequency bin b
+	// bins holds, per frequency bin, the pages whose count falls in it
 	// (Colloid extension; maintained even for vanilla HeMem at
 	// negligible cost so tests can inspect it).
-	bins []*access.OrderedSet
-	// binOf tracks each page's current bin to make moves O(1).
-	binOf map[pages.PageID]int
+	bins binSet
+
+	// Per-quantum scratch reused across quanta: the candidate list
+	// (PickPages compacts its picks into it) and migration requests.
+	candBuf []core.Candidate
+	reqBuf  []migrate.Request
 
 	sampleCarry float64
 	lastRunSec  float64
@@ -95,17 +99,12 @@ type System struct {
 // New returns a HeMem instance.
 func New(cfg Config) *System {
 	cfg = cfg.withDefaults()
-	s := &System{
+	return &System{
 		cfg:    cfg,
 		hot:    access.NewOrderedSet(),
 		hotAlt: access.NewOrderedSet(),
-		bins:   make([]*access.OrderedSet, cfg.NumBins),
-		binOf:  make(map[pages.PageID]int),
+		bins:   newBinSet(cfg.NumBins),
 	}
-	for i := range s.bins {
-		s.bins[i] = access.NewOrderedSet()
-	}
-	return s
 }
 
 // Name identifies the system.
@@ -128,10 +127,11 @@ func (s *System) Step(ctx *sim.Context) {
 		}
 		s.colloid = core.NewController(ctx.Topo.NumTiers(), opts)
 	}
-	// HeMem's per-quantum cost concentrates in the tracker's cooling
-	// sweeps and the engine sampler's CDF rebuilds, both of which shard
-	// internally; the hot/cold bins stay serial because they are
-	// insertion-ordered sets whose order is part of the policy.
+	// HeMem's per-quantum cost concentrates in the per-sample path
+	// (the engine sampler's draw, then classify's hot-set and bin
+	// moves) and the once-per-quantum candidate scan, all serial and
+	// map-free: the bins are insertion-ordered lists whose order is part
+	// of the policy. Only the tracker's cooling sweeps shard.
 	s.ensureTracker(ctx)
 	s.samplePEBS(ctx)
 	if !s.started {
@@ -197,19 +197,7 @@ func (s *System) classify(ctx *sim.Context, id pages.PageID) {
 		s.hot.Remove(id)
 		s.hotAlt.Remove(id)
 	}
-	b := s.binIndex(c)
-	if prev, ok := s.binOf[id]; ok {
-		if prev == b {
-			return
-		}
-		s.bins[prev].Remove(id)
-	}
-	if c == 0 {
-		delete(s.binOf, id)
-		return
-	}
-	s.bins[b].Add(id)
-	s.binOf[id] = b
+	s.bins.place(id, s.binIndex(c), c > 0)
 }
 
 func (s *System) binIndex(count uint32) int {
@@ -226,12 +214,7 @@ func (s *System) rebuildLists(ctx *sim.Context) {
 	ctx.Obs.Counter("hemem_cools").Inc()
 	s.hot.Clear()
 	s.hotAlt.Clear()
-	for _, b := range s.bins {
-		b.Clear()
-	}
-	for id := range s.binOf {
-		delete(s.binOf, id)
-	}
+	s.bins.clear()
 	s.tracker.ForEach(func(id pages.PageID, count uint32) {
 		if count >= s.cfg.HotThreshold {
 			s.hot.Add(id)
@@ -239,9 +222,7 @@ func (s *System) rebuildLists(ctx *sim.Context) {
 				s.hotAlt.Add(id)
 			}
 		}
-		b := s.binIndex(count)
-		s.bins[b].Add(id)
-		s.binOf[id] = b
+		s.bins.add(id, s.binIndex(count))
 	})
 }
 
@@ -262,7 +243,8 @@ func (s *System) migrateVanilla(ctx *sim.Context) {
 	}
 	budgetLeft := ctx.Migrator.Budget()
 	pendingFree := ctx.AS.FreeBytes(memsys.DefaultTier)
-	var batch []migrate.Request
+	batch := s.reqBuf[:0]
+	defer func() { s.reqBuf = batch[:0] }()
 	flush := func() bool {
 		if len(batch) == 0 {
 			return true
@@ -419,14 +401,15 @@ func (s *System) migrateColloid(ctx *sim.Context) {
 		}
 		return
 	}
+	batch := s.reqBuf[:0]
+	defer func() { s.reqBuf = batch[:0] }()
 	if toTier != memsys.DefaultTier {
 		// Demotions need no free-space carving; apply the whole set in
 		// one batch (it stops at the budget the same way the loop did).
-		reqs := make([]migrate.Request, len(picked))
-		for i, c := range picked {
-			reqs[i] = migrate.Request{ID: c.ID, To: toTier}
+		for _, c := range picked {
+			batch = append(batch, migrate.Request{ID: c.ID, To: toTier})
 		}
-		ctx.Migrator.MoveBatch(reqs, nil)
+		ctx.Migrator.MoveBatch(batch, nil)
 		return
 	}
 	// Promotions: accumulate while the mirrored free-space and budget
@@ -434,7 +417,6 @@ func (s *System) migrateColloid(ctx *sim.Context) {
 	// the budget-consumption order matches the sequential loop.
 	budgetLeft := ctx.Migrator.Budget()
 	pendingFree := ctx.AS.FreeBytes(memsys.DefaultTier)
-	var batch []migrate.Request
 	for _, c := range picked {
 		if pendingFree < c.Bytes {
 			if len(batch) > 0 {
@@ -468,32 +450,32 @@ func (s *System) migrateColloid(ctx *sim.Context) {
 // candidates lists pages in fromTier ordered hottest bin first, with
 // their estimated access probabilities. Collection is capped: the
 // migration limit bounds how many pages one quantum can move anyway,
-// so scanning the entire bin structure would be wasted work.
+// so scanning the entire bin structure would be wasted work. The scan
+// reads the address space's placement arrays directly and fills a
+// buffer reused across quanta; the result is valid until the next call.
 func (s *System) candidates(ctx *sim.Context, fromTier memsys.TierID) []core.Candidate {
 	const maxCollect, maxScan = 4096, 32768
-	var out []core.Candidate
+	v := ctx.AS.LiveView()
+	out := s.candBuf[:0]
 	scanned := 0
+scan:
 	for b := s.cfg.NumBins - 1; b >= 0; b-- {
-		s.bins[b].ForEach(func(id pages.PageID) access.Action {
+		for _, id := range s.bins.items[b] {
 			scanned++
 			if scanned > maxScan || len(out) >= maxCollect {
-				return access.Stop
+				break scan
 			}
-			p := ctx.AS.Get(id)
-			if p.Dead || p.Tier != fromTier {
-				return access.Keep
+			if v.Tier[id] != fromTier || v.Dead[id] {
+				continue
 			}
 			out = append(out, core.Candidate{
 				ID:          id,
 				Probability: s.tracker.Probability(id),
-				Bytes:       p.Bytes,
+				Bytes:       int64(v.Bytes[id]),
 			})
-			return access.Keep
-		})
-		if scanned > maxScan || len(out) >= maxCollect {
-			break
 		}
 	}
+	s.candBuf = out
 	return out
 }
 

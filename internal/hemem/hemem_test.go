@@ -96,3 +96,25 @@ func TestNames(t *testing.T) {
 		t.Fatal("colloid name")
 	}
 }
+
+// TestColloidStepAllocs is a structural allocation guard on the real
+// engine quantum: once a HeMem+Colloid engine is warm, one Engine.Step
+// must not allocate more than it does today. HeMem's own per-sample
+// and per-quantum path (classify, the candidate scan, PickPages and
+// the migration batches) allocates nothing in steady state; the
+// remaining allocations are the engine's (the fixed-point Solve, the
+// CHA counter reads and the controller's observation).
+func TestColloidStepAllocs(t *testing.T) {
+	// Measured at 17 allocations per Step (go1.24, linux/amd64).
+	const maxAllocsPerStep = 17
+	sys := New(Config{Colloid: &core.Options{}})
+	e, _ := simtest.RunGUPS(t, sys, workloads.Intensity3x, 5, 6)
+	allocs := testing.AllocsPerRun(300, func() {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocsPerStep {
+		t.Fatalf("warm HeMem+Colloid Engine.Step allocates %v times, want <= %d", allocs, maxAllocsPerStep)
+	}
+}

@@ -55,8 +55,8 @@ func TestClassifyMaintainsBinsAndHotSets(t *testing.T) {
 	if s.hot.Contains(id) {
 		t.Fatal("count 3 classified hot")
 	}
-	if s.binOf[id] != 0 {
-		t.Fatalf("bin = %d, want 0", s.binOf[id])
+	if b, ok := s.bins.bin(id); !ok || b != 0 {
+		t.Fatalf("bin = %d (in a bin: %v), want 0", b, ok)
 	}
 
 	// Crossing the threshold in the default tier: hot, not in hotAlt.
@@ -93,16 +93,16 @@ func TestRebuildAfterCooling(t *testing.T) {
 		s.tracker.Touch(id)
 	}
 	s.classify(ctx, id)
-	if s.binOf[id] != 2 {
-		t.Fatalf("bin before cool = %d", s.binOf[id])
+	if b, _ := s.bins.bin(id); b != 2 {
+		t.Fatalf("bin before cool = %d", b)
 	}
 	s.tracker.Cool() // 7 -> 3: below hot threshold
 	s.rebuildLists(ctx)
 	if s.hot.Contains(id) {
 		t.Fatal("cooled page still hot")
 	}
-	if s.binOf[id] != 0 {
-		t.Fatalf("bin after cool = %d, want 0", s.binOf[id])
+	if b, ok := s.bins.bin(id); !ok || b != 0 {
+		t.Fatalf("bin after cool = %d (in a bin: %v), want 0", b, ok)
 	}
 	if s.cools != 1 {
 		t.Fatalf("cools = %d", s.cools)

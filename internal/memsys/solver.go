@@ -136,8 +136,12 @@ func (o SolveOptions) withDefaults() SolveOptions {
 // Existence/uniqueness intuition: each source's offered load is a
 // decreasing function of latency while each tier's latency is an
 // increasing function of load, so the composed map is monotone and the
-// damped iteration converges; the solver additionally verifies progress
-// and returns an error if it fails to converge.
+// damped iteration converges. Convergence is not an error condition:
+// the iteration stops once no tier's damped step exceeds ToleranceNs,
+// and if MaxIterations pass first it takes one half-step toward the
+// model's response and returns that as the equilibrium (Iterations is
+// then MaxIterations+1). Errors report invalid input only: a malformed
+// source or an extraLoad of the wrong length.
 func (tp *Topology) Solve(sources []Source, extraLoad []Load, opts SolveOptions) (*Equilibrium, error) {
 	opts = opts.withDefaults()
 	n := tp.NumTiers()

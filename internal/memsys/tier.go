@@ -32,7 +32,12 @@ const CachelineBytes = 64.0
 
 // TierID identifies a tier within a Topology. Tier 0 is always the
 // default tier (lowest unloaded latency); higher IDs are alternate tiers.
-type TierID int
+// One byte is enough for maxTiers tiers and keeps the address space's
+// per-page tier array at one byte a page.
+type TierID int8
+
+// maxTiers is the most tiers a Topology can hold.
+const maxTiers = math.MaxInt8 + 1
 
 // DefaultTier is the ID of the tier with the lowest unloaded latency.
 const DefaultTier TierID = 0

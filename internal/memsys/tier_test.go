@@ -129,6 +129,23 @@ func TestTopologyRejectsMisorderedTiers(t *testing.T) {
 	}
 }
 
+func TestTopologyTierLimit(t *testing.T) {
+	cfgs := []TierConfig{DualSocketXeonDefault()}
+	for len(cfgs) < maxTiers {
+		cfgs = append(cfgs, DualSocketXeonRemote())
+	}
+	tp, err := NewTopology(cfgs...)
+	if err != nil {
+		t.Fatalf("%d tiers rejected: %v", maxTiers, err)
+	}
+	if last := TierID(tp.NumTiers() - 1); int(last) != maxTiers-1 {
+		t.Fatalf("last tier ID %d, want %d", last, maxTiers-1)
+	}
+	if _, err := NewTopology(append(cfgs, DualSocketXeonRemote())...); err == nil {
+		t.Fatalf("%d tiers accepted", maxTiers+1)
+	}
+}
+
 func TestTopologyAccessors(t *testing.T) {
 	tp := MustTopology(DualSocketXeonDefault(), DualSocketXeonRemote())
 	if tp.NumTiers() != 2 {

@@ -22,6 +22,9 @@ func NewTopology(cfgs ...TierConfig) (*Topology, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("memsys: topology needs at least one tier")
 	}
+	if len(cfgs) > maxTiers {
+		return nil, fmt.Errorf("memsys: topology of %d tiers exceeds the %d a TierID can name", len(cfgs), maxTiers)
+	}
 	tiers := make([]*Tier, 0, len(cfgs))
 	for i, c := range cfgs {
 		t, err := NewTier(c)

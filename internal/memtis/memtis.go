@@ -122,15 +122,18 @@ type System struct {
 	started      bool
 	splitting    bool
 
-	// defaultKmigrated batching scratch, reused across quanta.
-	demoteReqs   []migrate.Request
+	// Migration request scratch for both kmigrated passes, and the
+	// defaultKmigrated victim bookkeeping, reused across quanta.
+	reqBuf       []migrate.Request
 	demoteChosen map[pages.PageID]bool
 	demoteSpill  []int64
 
 	// Histogram and hot-ID scratch for the tracker's sharded bulk
-	// queries, reused across quanta.
-	hist   []int64
-	hotBuf []pages.PageID
+	// queries, and the candidate list PickPages compacts its picks into,
+	// reused across quanta.
+	hist    []int64
+	hotBuf  []pages.PageID
+	candBuf []core.Candidate
 }
 
 // New returns a MEMTIS instance.
@@ -306,10 +309,11 @@ func (s *System) collectCandidates(ctx *sim.Context, fromTier memsys.TierID, lim
 	s.hotBuf = s.tracker.AppendHot(s.hotBuf[:0], s.hotThreshold, func(id pages.PageID) bool {
 		return !v.Dead[id] && v.Tier[id] == fromTier
 	}, limit)
-	cands := make([]core.Candidate, len(s.hotBuf))
-	for i, id := range s.hotBuf {
-		cands[i] = core.Candidate{ID: id, Probability: s.tracker.Probability(id), Bytes: v.Bytes[id]}
+	cands := s.candBuf[:0]
+	for _, id := range s.hotBuf {
+		cands = append(cands, core.Candidate{ID: id, Probability: s.tracker.Probability(id), Bytes: int64(v.Bytes[id])})
 	}
+	s.candBuf = cands
 	return cands
 }
 
@@ -356,12 +360,13 @@ func (s *System) alternateKmigratedColloid(ctx *sim.Context) {
 		}
 		return
 	}
+	batch := s.reqBuf[:0]
+	defer func() { s.reqBuf = batch[:0] }()
 	if toTier != memsys.DefaultTier {
-		reqs := make([]migrate.Request, len(picked))
-		for i, c := range picked {
-			reqs[i] = migrate.Request{ID: c.ID, To: toTier}
+		for _, c := range picked {
+			batch = append(batch, migrate.Request{ID: c.ID, To: toTier})
 		}
-		ctx.Migrator.MoveBatch(reqs, nil)
+		ctx.Migrator.MoveBatch(batch, nil)
 		return
 	}
 	// Promotions: accumulate while the mirrored free space and budget
@@ -369,7 +374,6 @@ func (s *System) alternateKmigratedColloid(ctx *sim.Context) {
 	// consumption and victim probing happen in sequential order.
 	budgetLeft := ctx.Migrator.Budget()
 	pendingFree := ctx.AS.FreeBytes(memsys.DefaultTier)
-	var batch []migrate.Request
 	for _, c := range picked {
 		if pendingFree < c.Bytes {
 			if len(batch) > 0 {
@@ -433,7 +437,7 @@ func (s *System) defaultKmigrated(ctx *sim.Context) {
 	for t := range spillPending {
 		spillPending[t] = 0
 	}
-	batch := s.demoteReqs[:0]
+	batch := s.reqBuf[:0]
 	for free < s.cfg.FreeWatermarkBytes {
 		// One deferred demoteColdFromDefault(HugePageBytes) round.
 		freed := int64(0)
@@ -468,7 +472,7 @@ func (s *System) defaultKmigrated(ctx *sim.Context) {
 			delete(s.demoteChosen, id)
 		}
 	}
-	s.demoteReqs = batch[:0]
+	s.reqBuf = batch[:0]
 }
 
 // demoteColdFromDefault finds a default-tier page below the hot

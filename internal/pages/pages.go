@@ -17,6 +17,7 @@ package pages
 
 import (
 	"fmt"
+	"math"
 
 	"colloid/internal/memsys"
 	"colloid/internal/shard"
@@ -63,11 +64,12 @@ type AddressSpace struct {
 	topo *memsys.Topology
 	// Per-page fields, SoA, indexed by PageID. weight/tier/dead are the
 	// hot trio every per-quantum scan touches; bytes and parent ride
-	// along for Split/Coalesce and capacity checks.
+	// along for Split/Coalesce and capacity checks. parent stays empty
+	// until the first Split (see parentOf).
 	weight []float64
 	tier   []memsys.TierID
 	dead   []bool
-	bytes  []int64
+	bytes  []int32 // a page is at most math.MaxInt32 bytes
 	parent []PageID
 
 	tierBytes  []int64
@@ -125,6 +127,9 @@ func NewAddressSpace(topo *memsys.Topology, totalBytes, pageBytes int64) (*Addre
 	if totalBytes%pageBytes != 0 {
 		return nil, fmt.Errorf("pages: total %d not a multiple of page size %d", totalBytes, pageBytes)
 	}
+	if pageBytes > math.MaxInt32 {
+		return nil, fmt.Errorf("pages: page size %d exceeds %d bytes", pageBytes, math.MaxInt32)
+	}
 	n := totalBytes / pageBytes
 	if n > 1<<28 {
 		return nil, fmt.Errorf("pages: %d pages is unreasonably many; raise the page size", n)
@@ -137,15 +142,13 @@ func NewAddressSpace(topo *memsys.Topology, totalBytes, pageBytes int64) (*Addre
 		weight:     make([]float64, n),
 		tier:       make([]memsys.TierID, n),
 		dead:       make([]bool, n),
-		bytes:      make([]int64, n),
-		parent:     make([]PageID, n),
+		bytes:      make([]int32, n),
 		tierBytes:  make([]int64, topo.NumTiers()),
 		tierWeight: make([]float64, topo.NumTiers()),
 		workers:    1,
 	}
 	for i := range as.bytes {
-		as.bytes[i] = pageBytes
-		as.parent[i] = NoPage
+		as.bytes[i] = int32(pageBytes)
 	}
 	as.liveCount = int(n)
 	as.liveDirty = true
@@ -189,12 +192,21 @@ func (as *AddressSpace) Get(id PageID) Page {
 	as.check(id, "Get")
 	return Page{
 		ID:     id,
-		Bytes:  as.bytes[id],
+		Bytes:  int64(as.bytes[id]),
 		Tier:   as.tier[id],
 		Weight: as.weight[id],
-		Parent: as.parent[id],
+		Parent: as.parentOf(id),
 		Dead:   as.dead[id],
 	}
+}
+
+// parentOf returns id's split parent, or NoPage for a page no Split
+// created.
+func (as *AddressSpace) parentOf(id PageID) PageID {
+	if int(id) < len(as.parent) {
+		return as.parent[id]
+	}
+	return NoPage
 }
 
 // SetWeight updates the page's access probability mass.
@@ -289,13 +301,14 @@ func (as *AddressSpace) Move(id PageID, to memsys.TierID) error {
 	if from == to {
 		return nil
 	}
-	if as.FreeBytes(to) < as.bytes[id] {
-		return fmt.Errorf("pages: tier %d full (%d free, need %d)", to, as.FreeBytes(to), as.bytes[id])
+	b := int64(as.bytes[id])
+	if as.FreeBytes(to) < b {
+		return fmt.Errorf("pages: tier %d full (%d free, need %d)", to, as.FreeBytes(to), b)
 	}
-	as.tierBytes[from] -= as.bytes[id]
+	as.tierBytes[from] -= b
 	as.tierWeight[from] -= as.weight[id]
 	as.tier[id] = to
-	as.tierBytes[to] += as.bytes[id]
+	as.tierBytes[to] += b
 	as.tierWeight[to] += as.weight[id]
 	return nil
 }
@@ -317,14 +330,18 @@ func (as *AddressSpace) Split(id PageID, parts int) ([]PageID, error) {
 	if parts <= 1 {
 		return nil, fmt.Errorf("pages: split into %d parts", parts)
 	}
-	if as.bytes[id]%int64(parts) != 0 {
-		return nil, fmt.Errorf("pages: %d bytes not divisible into %d parts", as.bytes[id], parts)
+	b := int64(as.bytes[id])
+	if b%int64(parts) != 0 {
+		return nil, fmt.Errorf("pages: %d bytes not divisible into %d parts", b, parts)
 	}
-	childBytes := as.bytes[id] / int64(parts)
+	for len(as.parent) < len(as.weight) {
+		as.parent = append(as.parent, NoPage)
+	}
+	childBytes := b / int64(parts)
 	childWeight := as.weight[id] / float64(parts)
 	tier := as.tier[id]
 	// Retire the parent.
-	as.tierBytes[tier] -= as.bytes[id]
+	as.tierBytes[tier] -= b
 	as.tierWeight[tier] -= as.weight[id]
 	as.liveWeight -= as.weight[id]
 	as.dead[id] = true
@@ -339,14 +356,14 @@ func (as *AddressSpace) Split(id PageID, parts int) ([]PageID, error) {
 			as.weight[cid] = childWeight
 			as.tier[cid] = tier
 			as.dead[cid] = false
-			as.bytes[cid] = childBytes
+			as.bytes[cid] = int32(childBytes)
 			as.parent[cid] = id
 		} else {
 			cid = PageID(len(as.weight))
 			as.weight = append(as.weight, childWeight)
 			as.tier = append(as.tier, tier)
 			as.dead = append(as.dead, false)
-			as.bytes = append(as.bytes, childBytes)
+			as.bytes = append(as.bytes, int32(childBytes))
 			as.parent = append(as.parent, id)
 		}
 		as.tierBytes[tier] += childBytes
@@ -383,20 +400,20 @@ func (as *AddressSpace) Coalesce(parent PageID, children []PageID) error {
 	}
 	tier := as.tier[children[0]]
 	for _, cid := range children {
-		if as.dead[cid] || as.parent[cid] != parent {
+		if as.dead[cid] || as.parentOf(cid) != parent {
 			return fmt.Errorf("pages: page %d is not a live child of %d", cid, parent)
 		}
 		if as.tier[cid] != tier {
 			return fmt.Errorf("pages: children of %d span tiers; migrate before coalescing", parent)
 		}
-		bytes += as.bytes[cid]
+		bytes += int64(as.bytes[cid])
 		weight += as.weight[cid]
 	}
-	if bytes != as.bytes[parent] {
+	if bytes != int64(as.bytes[parent]) {
 		return fmt.Errorf("pages: children cover %d bytes of parent's %d", bytes, as.bytes[parent])
 	}
 	for _, cid := range children {
-		as.tierBytes[tier] -= as.bytes[cid]
+		as.tierBytes[tier] -= int64(as.bytes[cid])
 		as.tierWeight[tier] -= as.weight[cid]
 		as.liveWeight -= as.weight[cid]
 		as.dead[cid] = true
@@ -407,7 +424,7 @@ func (as *AddressSpace) Coalesce(parent PageID, children []PageID) error {
 	as.dead[parent] = false
 	as.tier[parent] = tier
 	as.weight[parent] = weight
-	as.tierBytes[tier] += as.bytes[parent]
+	as.tierBytes[tier] += int64(as.bytes[parent])
 	as.tierWeight[tier] += weight
 	as.liveWeight += weight
 	as.liveCount++
@@ -428,6 +445,9 @@ func (as *AddressSpace) ensureLive() {
 		return
 	}
 	if as.workers <= 1 {
+		if cap(as.live) < as.liveCount {
+			as.live = make([]PageID, 0, as.liveCount)
+		}
 		as.live = as.live[:0]
 		for i := range as.dead {
 			if !as.dead[i] {
@@ -500,7 +520,7 @@ type View struct {
 	Weight []float64
 	Tier   []memsys.TierID
 	Dead   []bool
-	Bytes  []int64
+	Bytes  []int32
 }
 
 // LiveView returns the current View, rebuilding the live index if
@@ -541,7 +561,7 @@ func (as *AddressSpace) RecomputeAggregates() {
 				continue
 			}
 			t := as.tier[i]
-			pb[t] += as.bytes[i]
+			pb[t] += int64(as.bytes[i])
 			pw[t] += as.weight[i]
 			lw += as.weight[i]
 			n++

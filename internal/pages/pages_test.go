@@ -53,6 +53,9 @@ func TestInvalidSizes(t *testing.T) {
 	if _, err := NewAddressSpace(topo, HugePageBytes+1, HugePageBytes); err == nil {
 		t.Fatal("non-multiple total accepted")
 	}
+	if _, err := NewAddressSpace(topo, 1<<31, 1<<31); err == nil {
+		t.Fatal("page size past int32 accepted")
+	}
 }
 
 func TestSetWeightUpdatesShares(t *testing.T) {

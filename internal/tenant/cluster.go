@@ -72,7 +72,7 @@ type Config struct {
 // the per-tenant interference and per-tier saturation summaries the
 // multi-tenant experiments report.
 type Cluster struct {
-	cfg     Config   // normalized: defaults resolved, tenants sorted
+	cfg     Config // normalized: defaults resolved, tenants sorted
 	eng     *sim.Engine
 	tenants []Tenant // name order, aligned with engine tenant indices
 	victims []int    // forced-demotion order: class weight asc, then name
@@ -380,22 +380,25 @@ func (c *Cluster) demoteColdest(vi int, need *int64, budget *int) int {
 	k := *budget
 	// Single-pass partial selection of the k coldest default-tier
 	// pages, ordered by (weight, ID) so ties never depend on iteration
-	// incidentals.
+	// incidentals. The scan reads the placement arrays directly and
+	// materializes a Page only for one that enters the selection.
 	best := c.candBuf[:0]
-	as.ForEachLive(func(p pages.Page) {
-		if p.Tier != memsys.DefaultTier {
-			return
+	v := as.LiveView()
+	for _, id := range v.Live {
+		if v.Tier[id] != memsys.DefaultTier {
+			continue
 		}
-		if len(best) == k && !colder(p, best[len(best)-1]) {
-			return
+		w := v.Weight[id]
+		if len(best) == k && !colder(w, id, best[len(best)-1]) {
+			continue
 		}
-		i := sort.Search(len(best), func(i int) bool { return colder(p, best[i]) })
+		i := sort.Search(len(best), func(i int) bool { return colder(w, id, best[i]) })
 		if len(best) < k {
 			best = append(best, pages.Page{})
 		}
 		copy(best[i+1:], best[i:])
-		best[i] = p
-	})
+		best[i] = as.Get(id)
+	}
 	c.candBuf = best
 
 	numTiers := c.eng.Topology().NumTiers()
@@ -432,13 +435,13 @@ func (c *Cluster) demoteColdest(vi int, need *int64, budget *int) int {
 	return moved
 }
 
-// colder orders pages for demotion: lower weight first, page ID
-// breaking ties.
-func colder(a, b pages.Page) bool {
-	if a.Weight != b.Weight {
-		return a.Weight < b.Weight
+// colder orders pages for demotion: a page of weight w and ID id goes
+// before b when it is lighter, page ID breaking ties.
+func colder(w float64, id pages.PageID, b pages.Page) bool {
+	if w != b.Weight {
+		return w < b.Weight
 	}
-	return a.ID < b.ID
+	return id < b.ID
 }
 
 // Saturation returns each tier's mean utilization over the run so far.

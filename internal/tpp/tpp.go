@@ -15,6 +15,8 @@
 package tpp
 
 import (
+	"math"
+
 	"colloid/internal/access"
 	"colloid/internal/core"
 	"colloid/internal/memsys"
@@ -66,13 +68,11 @@ type System struct {
 
 	// ttfThresh is the adaptive hot classification threshold.
 	ttfThresh float64
-	// lastFaultSec approximates the kernel's active/inactive LRU: cold
-	// demotion victims are pages without a recent fault.
-	lastFaultSec map[pages.PageID]float64
-	// lastTTF remembers each page's most recent time-to-fault; large
-	// values mean cold. kswapd prefers demoting the coldest of a probe
-	// set, mirroring the kernel's LRU aging at fault granularity.
-	lastTTF map[pages.PageID]float64
+	// lastTTF[id] is the page's most recent time-to-fault, NaN until it
+	// first faults; large values mean cold. kswapd prefers demoting the
+	// coldest of a probe set, mirroring the kernel's LRU aging at fault
+	// granularity.
+	lastTTF []float64
 
 	// Colloid per-quantum budget state.
 	deltaPLeft float64
@@ -93,10 +93,8 @@ type System struct {
 func New(cfg Config) *System {
 	cfg = cfg.withDefaults()
 	return &System{
-		cfg:          cfg,
-		ttfThresh:    cfg.HotTTFSec,
-		lastFaultSec: make(map[pages.PageID]float64),
-		lastTTF:      make(map[pages.PageID]float64),
+		cfg:       cfg,
+		ttfThresh: cfg.HotTTFSec,
 	}
 }
 
@@ -146,8 +144,7 @@ func (s *System) Step(ctx *sim.Context) {
 	faults := s.scanner.Step(ctx.TimeSec, ctx.QuantumSec, ctx.AppRequestRate)
 	ctx.Obs.Counter("tpp_hint_faults").Add(int64(len(faults)))
 	for _, f := range faults {
-		s.lastFaultSec[f.Page] = ctx.TimeSec
-		s.lastTTF[f.Page] = f.TimeToFaultSec
+		s.recordTTF(f.Page, f.TimeToFaultSec)
 		if s.cfg.Colloid != nil {
 			s.onFaultColloid(ctx, f)
 		} else {
@@ -366,8 +363,11 @@ func (s *System) findColdVictimExcluding(ctx *sim.Context, exclude map[pages.Pag
 			continue
 		}
 		found++
-		ttf, ok := s.lastTTF[id]
-		if !ok {
+		ttf := math.NaN()
+		if int(id) < len(s.lastTTF) {
+			ttf = s.lastTTF[id]
+		}
+		if math.IsNaN(ttf) {
 			// Never faulted since tracking began: treat as coldest.
 			return id
 		}
@@ -377,6 +377,19 @@ func (s *System) findColdVictimExcluding(ctx *sim.Context, exclude map[pages.Pag
 		}
 	}
 	return best
+}
+
+// recordTTF stores a fault's time-to-fault for its page, growing the
+// dense per-page array with NaN (never faulted) as needed.
+func (s *System) recordTTF(id pages.PageID, ttf float64) {
+	if int(id) >= len(s.lastTTF) {
+		n := len(s.lastTTF)
+		s.lastTTF = access.GrowIndex(s.lastTTF, id)
+		for i := n; i < len(s.lastTTF); i++ {
+			s.lastTTF[i] = math.NaN()
+		}
+	}
+	s.lastTTF[id] = ttf
 }
 
 func (s *System) spillTier(ctx *sim.Context) memsys.TierID {

@@ -163,10 +163,10 @@ func TestFindColdVictimPrefersLargestTTF(t *testing.T) {
 	ids := ctx.AS.LiveIDs()
 	// Everything recently faulted with small ttf except one cold page.
 	for _, id := range ids {
-		s.lastTTF[id] = 1e-4
+		s.recordTTF(id, 1e-4)
 	}
 	cold := ids[len(ids)/2]
-	s.lastTTF[cold] = 0.5
+	s.recordTTF(cold, 0.5)
 	// Probing is random; run repeatedly and require the cold page wins
 	// decisively when probed.
 	wins := 0

@@ -99,7 +99,8 @@ type GUPS struct {
 	// Cores running application threads (15 in the paper).
 	Cores int
 
-	hot map[pages.PageID]bool
+	hot  []bool // indexed by PageID
+	nHot int
 }
 
 // DefaultGUPS returns the Section 2.1 configuration.
@@ -158,11 +159,7 @@ func (g *GUPS) Install(as *pages.AddressSpace, rng *stats.RNG) error {
 	if nHot <= 0 || nHot > len(ids) {
 		return fmt.Errorf("workloads: hot set of %d pages infeasible over %d pages", nHot, len(ids))
 	}
-	perm := rng.Perm(len(ids))
-	g.hot = make(map[pages.PageID]bool, nHot)
-	for i := 0; i < nHot; i++ {
-		g.hot[ids[perm[i]]] = true
-	}
+	g.setHot(as, ids, rng.Perm(len(ids)), nHot)
 	g.applyWeights(as, ids)
 	return nil
 }
@@ -174,16 +171,23 @@ func (g *GUPS) ShiftHotSet(as *pages.AddressSpace, rng *stats.RNG) {
 	ids := as.LiveIDs()
 	pageBytes := as.Get(ids[0]).Bytes
 	nHot := int(g.HotSetBytes / pageBytes)
-	perm := rng.Perm(len(ids))
-	g.hot = make(map[pages.PageID]bool, nHot)
-	for i := 0; i < nHot && i < len(ids); i++ {
-		g.hot[ids[perm[i]]] = true
-	}
+	g.setHot(as, ids, rng.Perm(len(ids)), nHot)
 	g.applyWeights(as, ids)
 }
 
+// setHot makes the pages ids[perm[0]], ..., ids[perm[n-1]] the hot set
+// (all of ids when n exceeds it). The membership array is fresh, as the
+// map it replaced was, so a copy of g taken earlier keeps its hot set.
+func (g *GUPS) setHot(as *pages.AddressSpace, ids []pages.PageID, perm []int, n int) {
+	g.hot = make([]bool, as.NumPages())
+	g.nHot = min(n, len(ids))
+	for _, i := range perm[:g.nHot] {
+		g.hot[ids[i]] = true
+	}
+}
+
 func (g *GUPS) applyWeights(as *pages.AddressSpace, ids []pages.PageID) {
-	nHot := len(g.hot)
+	nHot := g.nHot
 	nAll := len(ids)
 	hotW := g.HotProb/float64(nHot) + (1-g.HotProb)/float64(nAll)
 	coldW := (1 - g.HotProb) / float64(nAll)
@@ -197,10 +201,10 @@ func (g *GUPS) applyWeights(as *pages.AddressSpace, ids []pages.PageID) {
 }
 
 // IsHot reports whether the page is currently in the hot set.
-func (g *GUPS) IsHot(id pages.PageID) bool { return g.hot[id] }
+func (g *GUPS) IsHot(id pages.PageID) bool { return uint(id) < uint(len(g.hot)) && g.hot[id] }
 
 // HotPages returns the current number of hot pages.
-func (g *GUPS) HotPages() int { return len(g.hot) }
+func (g *GUPS) HotPages() int { return g.nHot }
 
 // Antagonist models the memory antagonist of Section 2.1: cores
 // streaming 1:1 read/write traffic to a small buffer pinned in the
