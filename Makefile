@@ -6,18 +6,31 @@ GO ?= go
 STATICCHECK_VERSION ?= 2023.1.7
 STATICCHECK := $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: ci verify vet staticcheck lint lint-fixtures race fuzz-smoke bench bench-smoke bench-scale bench-tenants bench-heat clean
+.PHONY: ci verify fmt vet perfbench-check staticcheck lint lint-fixtures race fuzz-smoke bench bench-smoke bench-scale bench-tenants bench-heat clean
 
 # Everything CI gates on.
-ci: verify vet staticcheck lint race fuzz-smoke bench-smoke bench-scale bench-tenants bench-heat
+ci: verify fmt vet perfbench-check staticcheck lint race fuzz-smoke bench-smoke bench-scale bench-tenants bench-heat
 
 # Tier-1: the whole tree must build and every test must pass.
 verify:
 	$(GO) build ./...
 	$(GO) test ./...
 
+# gofmt must have nothing to report anywhere in the tree.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "fmt: gofmt -l lists unformatted files:" >&2; echo "$$out" >&2; exit 1; \
+	fi
+
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is a module of its own, so the root `go build ./...` and
+# `go test ./...` never compile it; vet and test it here so removing an
+# engine accessor the benchmark calls fails CI.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Pinned staticcheck, probed first so an offline machine (no module
 # proxy) degrades to a warning instead of a hard failure; when the probe

@@ -92,7 +92,3 @@ func (tp *Topology) TenantView(l *Ledger, tenant int, quota []int64) (*Topology,
 	}
 	return &Topology{tiers: tp.tiers, view: &tenantView{ledger: l, tenant: tenant, quota: q}}, nil
 }
-
-// IsTenantView reports whether this topology is a per-tenant capacity
-// view (see TenantView).
-func (tp *Topology) IsTenantView() bool { return tp.view != nil }

@@ -94,13 +94,6 @@ func (b *SharedBudget) BeginQuantum(quantumSec float64) {
 	}
 }
 
-// Remaining returns the shared budget left this quantum.
-func (b *SharedBudget) Remaining() int64 { return b.budget }
-
-// LimitBytesPerSec returns the configured shared rate limit (0 =
-// unlimited).
-func (b *SharedBudget) LimitBytesPerSec() float64 { return b.limitBytesPerSec }
-
 func (b *SharedBudget) consume(bytes int64) {
 	if b.budget > bytes {
 		b.budget -= bytes
@@ -277,9 +270,6 @@ func (e *Engine) injectFailure(p pages.Page, to memsys.TierID, forced bool) erro
 // need room in both the engine's own bucket and the shared one. Nil
 // detaches.
 func (e *Engine) SetShared(b *SharedBudget) { e.shared = b }
-
-// Shared returns the attached shared budget (nil when standalone).
-func (e *Engine) Shared() *SharedBudget { return e.shared }
 
 // Budget returns the remaining migration byte budget for this quantum:
 // the engine's own bucket, further clamped by the shared bucket when

@@ -72,8 +72,10 @@ const (
 	// EvCounterRecovered is emitted on the first fresh measurement after
 	// a stale window (fields: stale_observes, p).
 	EvCounterRecovered = "counter_recovered"
-	// EvScenarioEvent is emitted when a scenario timeline event fires
-	// (fields: at_sec, index).
+	// EvScenarioEvent is emitted into the timeline owner's registry
+	// when a scenario timeline event fires (fields: at_sec, index — the
+	// entry's position in firing order, which keeps declared order on
+	// ties).
 	EvScenarioEvent = "scenario_event"
 )
 

@@ -37,11 +37,11 @@ func TestOptionOrderCommutesWithScenario(t *testing.T) {
 	}
 	run := func(e *Engine) (pre, post Engine0State) {
 		t.Helper()
-		pre = Engine0State{Profile: e.CurrentProfile().Name, Cores: e.AntagonistCores()}
+		pre = Engine0State{Profile: e.Tenant(0).Profile().Name, Cores: e.AntagonistCores()}
 		if err := e.Run(1.0); err != nil {
 			t.Fatal(err)
 		}
-		post = Engine0State{Profile: e.CurrentProfile().Name, Cores: e.AntagonistCores()}
+		post = Engine0State{Profile: e.Tenant(0).Profile().Name, Cores: e.AntagonistCores()}
 		return pre, post
 	}
 	orders := map[string][]Option{

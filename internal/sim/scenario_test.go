@@ -293,7 +293,7 @@ func TestScenarioMigrationStallBlocksSystemMoves(t *testing.T) {
 		if err := e.Run(1); err != nil {
 			t.Fatal(err)
 		}
-		f, _ := e.Migrator().FaultTotals()
+		f, _ := e.Tenant(0).Migrator().FaultTotals()
 		return d.moved, f
 	}
 	healthyMoves, healthyFailed := run()
@@ -336,8 +336,8 @@ func TestOptionsOverrideConfig(t *testing.T) {
 	if got := e.antagonist.Cores; got != workloads.Intensity2x.Cores() {
 		t.Fatalf("WithAntagonist installed %d cores, want %d", got, workloads.Intensity2x.Cores())
 	}
-	if e.CurrentProfile().Name != "alt-profile" {
-		t.Fatalf("WithProfile did not replace the profile: %q", e.CurrentProfile().Name)
+	if e.Tenant(0).Profile().Name != "alt-profile" {
+		t.Fatalf("WithProfile did not replace the profile: %q", e.Tenant(0).Profile().Name)
 	}
 }
 

@@ -8,13 +8,14 @@
 //
 // The engine is collection-shaped: it steps N tenants — each with its
 // own address space, traffic profile, tiering system, migrator and
-// sampler — against one shared physical topology. The classic
-// single-workload configuration is the one-tenant case and keeps its
-// exact construction and stepping semantics (bit-identical traces);
-// WithTenant/WithTenants switch on cluster mode, where tier capacity is
-// arbitrated through a memsys.Ledger, proactive migration bandwidth
-// through a migrate.SharedBudget, and per-tenant metrics land under
-// "tenant.<name>." namespaces in the shared obs registry.
+// sampler — against one shared physical topology, with tier capacity
+// arbitrated through a memsys.Ledger and proactive migration bandwidth
+// through a migrate.SharedBudget. Every engine is built by one path. A
+// single-workload run (no WithTenant/WithTenants) is a cluster of one
+// unnamed tenant: it draws its RNG streams straight from the root
+// stream and records into the root obs registry. Named tenants fork
+// their streams from their names and record under "tenant.<name>."
+// namespaces in the shared registry.
 //
 // The tiering systems observe the machine only through the sanctioned
 // interfaces — CHA counter snapshots and access-tracking samples — never
@@ -47,20 +48,20 @@ type Context struct {
 	TimeSec float64
 	// QuantumSec is the quantum duration.
 	QuantumSec float64
-	// Tenant names the tenant this system serves ("" in single-workload
-	// mode).
+	// Tenant names the tenant this system serves ("" for the unnamed
+	// tenant of a single-workload run).
 	Tenant string
 	// AS is the application address space (placement + page sizes).
 	// Systems read placement and weights only via their trackers; the
 	// true Weight field is the PMU's sampling ground truth.
 	AS *pages.AddressSpace
-	// Topo describes the tiers. In cluster mode it is the tenant's
-	// capacity view of the shared physical topology: latencies and
-	// bandwidths are machine-wide, capacities are the tenant's slice.
+	// Topo is the tenant's capacity view of the shared physical
+	// topology: latencies and bandwidths are machine-wide, capacities are
+	// the tenant's slice (the whole tier for a lone tenant).
 	Topo *memsys.Topology
 	// CHA is a cumulative counter snapshot taken after this quantum.
-	// The counters are machine-wide (one socket's CHAs), so in cluster
-	// mode every tenant sees the same interference-bearing snapshot.
+	// The counters are machine-wide (one socket's CHAs), so every tenant
+	// sees the same interference-bearing snapshot.
 	CHA cha.Snapshot
 	// Migrator executes migrations under rate limits.
 	Migrator *migrate.Engine
@@ -77,7 +78,7 @@ type Context struct {
 	// RNG is the system's private randomness stream.
 	RNG *stats.RNG
 	// Heat selects the access-tracking fidelity (Config.Heat, or this
-	// tenant's TenantSpec.Heat override in cluster mode). Systems that
+	// tenant's TenantSpec.Heat override). Systems that
 	// keep a frequency tracker build it with Heat.NewTracker instead of
 	// constructing access.FreqTracker directly, so one config knob moves
 	// every system between exact and region tracking.
@@ -88,9 +89,8 @@ type Context struct {
 	// ordered reduce, per-shard RNG streams).
 	Workers int
 	// Obs records the system's decisions; nil when instrumentation is
-	// off (all obs handles are nil-safe, so systems never check). In
-	// cluster mode this is the tenant's scoped view of the shared
-	// registry.
+	// off (all obs handles are nil-safe, so systems never check). For a
+	// named tenant this is its scoped view of the shared registry.
 	Obs *obs.Registry
 }
 
@@ -109,13 +109,14 @@ type System interface {
 type Config struct {
 	// Topology is the tier set (required).
 	Topology *memsys.Topology
-	// WorkingSetBytes sizes the application address space (required in
-	// single-workload mode; must be unset when tenants are given).
+	// WorkingSetBytes sizes the unnamed tenant's address space (required
+	// without WithTenant/WithTenants; must be unset when tenants are
+	// given).
 	WorkingSetBytes int64
 	// PageBytes is the placement granularity (default 2 MB).
 	PageBytes int64
-	// Profile is the application traffic profile (required in
-	// single-workload mode; must be unset when tenants are given).
+	// Profile is the unnamed tenant's traffic profile (required without
+	// WithTenant/WithTenants; must be unset when tenants are given).
 	Profile workloads.Profile
 	// Antagonist seeds the contention generator on the paper's 0x-3x
 	// intensity scale (0 = none); mid-run steps are expressed as
@@ -141,8 +142,9 @@ type Config struct {
 	CHANoiseStdDev float64
 	// MigrationLimitBytesPerSec caps proactive migration traffic
 	// (default 2.5 GB/s; 0 keeps the default, use NoMigrationLimit for
-	// unlimited). In cluster mode this is the machine-wide shared limit
-	// all tenants drain together; per-tenant caps live on TenantSpec.
+	// unlimited). It is the machine-wide shared limit all tenants drain
+	// together, and also the unnamed tenant's own limit; named tenants'
+	// caps live on TenantSpec.
 	MigrationLimitBytesPerSec float64
 	// SampleEverySec is the trace recording interval (default 1 s).
 	SampleEverySec float64
@@ -164,7 +166,9 @@ const NoCHANoise = -1
 // systems' defaults so a 24 GB hot set converges in ~10 s.
 const DefaultMigrationLimit = 2.5e9
 
-func (c Config) withDefaults() Config {
+// WithDefaults resolves the zero-means-default fields and the
+// NoMigrationLimit/NoCHANoise sentinels to the values New runs with.
+func (c Config) WithDefaults() Config {
 	if c.PageBytes == 0 {
 		c.PageBytes = pages.HugePageBytes
 	}
@@ -190,21 +194,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validateAntagonist checks the typed intensity. (The raw-core-count
-// alias AntagonistCores that this once rejected with a migration hint
-// is fully deleted: the field is gone, so stale call sites fail to
-// compile, and the lint tombstone check guards any future deprecation
-// the same way.)
-func (c Config) validateAntagonist() []error {
-	var errs []error
-	if c.Antagonist < 0 {
-		errs = append(errs, fmt.Errorf("sim: negative antagonist intensity %d", c.Antagonist))
-	}
-	return errs
-}
-
-// validateShared checks the fields that apply in both single-workload
-// and cluster mode.
+// validateShared checks the fields that apply with and without named
+// tenants.
 func (c Config) validateShared() []error {
 	var errs []error
 	if c.Topology == nil {
@@ -219,7 +210,9 @@ func (c Config) validateShared() []error {
 	if c.SampleEverySec < 0 {
 		errs = append(errs, fmt.Errorf("sim: negative sample interval %v s", c.SampleEverySec))
 	}
-	errs = append(errs, c.validateAntagonist()...)
+	if c.Antagonist < 0 {
+		errs = append(errs, fmt.Errorf("sim: negative antagonist intensity %d", c.Antagonist))
+	}
 	if err := c.Heat.Validate(); err != nil {
 		errs = append(errs, err)
 	}
@@ -242,42 +235,16 @@ func (c Config) validateShared() []error {
 // than one complaint per retry. It checks the raw config — sentinels
 // (NoMigrationLimit, NoCHANoise) and zeros-meaning-default are fine.
 func (c Config) Validate() error {
-	var errs []error
-	if c.Topology == nil {
-		errs = append(errs, fmt.Errorf("sim: topology required"))
-	}
+	errs := c.validateShared()
 	if c.WorkingSetBytes <= 0 {
 		errs = append(errs, fmt.Errorf("sim: working set required (WorkingSetBytes = %d)", c.WorkingSetBytes))
 	} else if c.Topology != nil && c.WorkingSetBytes > c.Topology.TotalCapacity() {
 		errs = append(errs, fmt.Errorf("sim: working set %d bytes exceeds topology capacity %d bytes",
 			c.WorkingSetBytes, c.Topology.TotalCapacity()))
 	}
-	if c.PageBytes < 0 {
-		errs = append(errs, fmt.Errorf("sim: negative page size %d", c.PageBytes))
-	} else if c.PageBytes > 0 && c.WorkingSetBytes > 0 && c.PageBytes > c.WorkingSetBytes {
+	if c.PageBytes > 0 && c.WorkingSetBytes > 0 && c.PageBytes > c.WorkingSetBytes {
 		errs = append(errs, fmt.Errorf("sim: page size %d bytes exceeds working set %d bytes",
 			c.PageBytes, c.WorkingSetBytes))
-	}
-	if c.QuantumSec < 0 {
-		errs = append(errs, fmt.Errorf("sim: negative quantum %v s", c.QuantumSec))
-	}
-	if c.SampleEverySec < 0 {
-		errs = append(errs, fmt.Errorf("sim: negative sample interval %v s", c.SampleEverySec))
-	}
-	errs = append(errs, c.validateAntagonist()...)
-	if err := c.Heat.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if c.Workers < 0 {
-		errs = append(errs, fmt.Errorf("sim: negative worker count %d", c.Workers))
-	}
-	if c.MigrationLimitBytesPerSec < 0 && c.MigrationLimitBytesPerSec != NoMigrationLimit {
-		errs = append(errs, fmt.Errorf("sim: negative migration limit %v (use sim.NoMigrationLimit for unlimited)",
-			c.MigrationLimitBytesPerSec))
-	}
-	if c.CHANoiseStdDev < 0 && c.CHANoiseStdDev != NoCHANoise {
-		errs = append(errs, fmt.Errorf("sim: negative CHA noise %v (use sim.NoCHANoise for noiseless counters)",
-			c.CHANoiseStdDev))
 	}
 	return errors.Join(errs...)
 }
@@ -306,9 +273,9 @@ type event struct {
 	fn func(*Engine)
 }
 
-// TenantSpec declares one tenant of a cluster-mode engine. Tenants are
-// ordered by Name internally, so the set of specs — not the order they
-// were registered in — determines every result bit.
+// TenantSpec declares one named tenant of an engine (see WithTenant).
+// Tenants are ordered by Name internally, so the set of specs — not the
+// order they were registered in — determines every result bit.
 type TenantSpec struct {
 	// Name identifies the tenant (required, unique). It labels the
 	// tenant's obs namespace ("tenant.<name>.") and seeds its RNG
@@ -386,7 +353,7 @@ func (s TenantSpec) validate() []error {
 type tenantState struct {
 	name     string
 	as       *pages.AddressSpace
-	topo     *memsys.Topology // capacity view (the physical topology in single mode)
+	topo     *memsys.Topology // capacity view of the shared physical topology
 	migrator *migrate.Engine
 	sampler  *access.Sampler
 	system   System
@@ -395,7 +362,6 @@ type tenantState struct {
 
 	rngWorkload *stats.RNG
 	rngSystem   *stats.RNG
-	rngScenario *stats.RNG
 
 	obs           *obs.Registry
 	inflightScale float64
@@ -405,18 +371,16 @@ type tenantState struct {
 }
 
 // Engine drives one simulation: N tenants stepping against one shared
-// physical topology (one tenant in the classic single-workload mode).
+// physical topology (one unnamed tenant in a single-workload run).
 type Engine struct {
-	cfg       Config
-	topo      *memsys.Topology // physical topology (shared by all tenants)
-	counters  *cha.Counters
-	tenants   []*tenantState
-	clustered bool
-	ledger    *memsys.Ledger
-	shared    *migrate.SharedBudget
+	cfg      Config
+	topo     *memsys.Topology // physical topology (shared by all tenants)
+	counters *cha.Counters
+	tenants  []*tenantState
+	ledger   *memsys.Ledger
+	shared   *migrate.SharedBudget
 
-	antagonist  workloads.Antagonist
-	rngScenario *stats.RNG
+	antagonist workloads.Antagonist
 
 	timeSec     float64
 	quantum     int
@@ -449,24 +413,23 @@ type buildOptions struct {
 	heat       *heat.Spec
 }
 
-// WithSystem installs the tiering system under test (nil for a
-// static-placement arm is the default and needs no option). Cluster
-// mode rejects it: each TenantSpec carries its own System.
+// WithSystem installs the unnamed tenant's tiering system (nil for a
+// static-placement arm is the default and needs no option). It conflicts
+// with WithTenant/WithTenants: each TenantSpec carries its own System.
 func WithSystem(s System) Option {
 	return func(o *buildOptions) { o.system = s }
 }
 
-// WithProfile sets the application traffic profile, overriding
-// Config.Profile. Cluster mode rejects it: each TenantSpec carries its
-// own Profile.
+// WithProfile sets the unnamed tenant's traffic profile, overriding
+// Config.Profile. It conflicts with WithTenant/WithTenants: each
+// TenantSpec carries its own Profile.
 func WithProfile(p workloads.Profile) Option {
 	return func(o *buildOptions) { o.profile = &p }
 }
 
 // WithAntagonist seeds the contention generator from the paper's 0x-3x
 // intensity scale, overriding Config.Antagonist. The antagonist is
-// machine-wide in every mode
-// (it models co-located streaming traffic, not a tenant).
+// machine-wide (it models co-located streaming traffic, not a tenant).
 func WithAntagonist(intensity workloads.Intensity) Option {
 	return func(o *buildOptions) {
 		v := intensity
@@ -477,9 +440,9 @@ func WithAntagonist(intensity workloads.Intensity) Option {
 // WithHeat selects the access-tracking fidelity, overriding
 // Config.Heat: the zero spec is exact per-page counting, Kind
 // heat.Region tracks at region granularity with optional forecasting.
-// This is the machine-wide default in every mode — systems read it from
-// Context.Heat when building their trackers; in cluster mode a
-// TenantSpec.Heat override takes precedence for that tenant alone.
+// This is the machine-wide default — systems read it from Context.Heat
+// when building their trackers; a TenantSpec.Heat override takes
+// precedence for that tenant alone.
 func WithHeat(spec heat.Spec) Option {
 	return func(o *buildOptions) { o.heat = &spec }
 }
@@ -491,42 +454,38 @@ func WithHeat(spec heat.Spec) Option {
 // never mutated. A scenario-driven run is bit-identical to a run that
 // hand-schedules the equivalent ScheduleAt calls.
 //
-// In cluster mode this is the cluster-level timeline: machine-wide
-// events only (AntagonistStep, TierDegrade, TierRestore, CHADropout).
-// Per-tenant events (ProfileSwitch, WorkloadShift, MigrationStall)
-// belong on TenantSpec.Scenario and are rejected here.
+// Per-tenant events (ProfileSwitch, WorkloadShift, MigrationStall) act
+// on the unnamed tenant. With named tenants this is the cluster-level
+// timeline: machine-wide events only (AntagonistStep, TierDegrade,
+// TierRestore, CHADropout); per-tenant events belong on
+// TenantSpec.Scenario and are rejected here.
 func WithScenario(sc *scenario.Scenario) Option {
 	return func(o *buildOptions) { o.scenario = sc }
 }
 
-// WithTenant adds one tenant, switching the engine into cluster mode.
-// See TenantSpec; may be repeated and mixed with WithTenants.
+// WithTenant adds one named tenant in place of the unnamed one built
+// from Config. See TenantSpec; may be repeated and mixed with
+// WithTenants.
 func WithTenant(spec TenantSpec) Option {
 	return func(o *buildOptions) { o.tenants = append(o.tenants, spec) }
 }
 
-// WithTenants adds several tenants, switching the engine into cluster
-// mode. Registration order never matters: tenants are ordered by name.
+// WithTenants adds several named tenants (see WithTenant). Registration
+// order never matters: tenants are ordered by name.
 func WithTenants(specs ...TenantSpec) Option {
 	return func(o *buildOptions) { o.tenants = append(o.tenants, specs...) }
 }
 
-// New builds an engine from the config plus options. The working set is
-// placed first-fit (default tier fills first); install a workload's
-// weights before running. With WithTenant/WithTenants the engine comes
-// up in cluster mode: tenant address spaces are placed first-fit in
-// name order against per-tenant capacity views, and each tenant's
-// workload weights are installed by the caller through Tenant(i).
+// New builds an engine from the config plus options. Without
+// WithTenant/WithTenants the engine runs one unnamed tenant; every
+// tenant, named or not, is built by the same loop. Address spaces are
+// placed first-fit in name order against per-tenant capacity views;
+// install each tenant's workload weights through Tenant(i) (or AS)
+// before running.
 func New(cfg Config, opts ...Option) (*Engine, error) {
 	var bo buildOptions
 	for _, opt := range opts {
 		opt(&bo)
-	}
-	if len(bo.tenants) > 0 {
-		return newCluster(cfg, &bo)
-	}
-	if bo.profile != nil {
-		cfg.Profile = *bo.profile
 	}
 	if bo.antagonist != nil {
 		cfg.Antagonist = *bo.antagonist
@@ -534,81 +493,134 @@ func New(cfg Config, opts ...Option) (*Engine, error) {
 	if bo.heat != nil {
 		cfg.Heat = *bo.heat
 	}
-	if err := cfg.Validate(); err != nil {
+	named := len(bo.tenants) > 0
+	specs, err := bo.tenantSpecs(&cfg)
+	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	if bo.scenario != nil {
-		if err := bo.scenario.Validate(cfg.Topology.NumTiers()); err != nil {
+	numTiers := cfg.Topology.NumTiers()
+	if sc := bo.scenario; sc != nil {
+		if err := sc.Validate(numTiers); err != nil {
 			return nil, err
 		}
-		if bo.scenario.MutatesTopology() {
-			// Clone before the address space is built: the address space
-			// holds the topology reference, and experiment arms routinely
+		if sc.MutatesTopology() {
+			// Clone before the tenant views and address spaces are built,
+			// so they share the clone's tiers: experiment arms routinely
 			// share one Topology value read-only.
 			cfg.Topology = cfg.Topology.Clone()
 		}
 	}
-	as, err := pages.NewAddressSpace(cfg.Topology, cfg.WorkingSetBytes, cfg.PageBytes)
-	if err != nil {
-		return nil, err
-	}
-	as.SetWorkers(cfg.Workers)
 	root := stats.NewRNG(cfg.Seed)
-	chaRNG := root.Split(1)
-	ts := &tenantState{
-		as:            as,
-		topo:          cfg.Topology,
-		migrator:      migrate.NewEngine(as, cfg.Topology.NumTiers(), cfg.MigrationLimitBytesPerSec),
-		profile:       cfg.Profile,
-		heat:          cfg.Heat,
-		rngWorkload:   root.Split(2),
-		rngSystem:     root.Split(3),
-		obs:           cfg.Obs,
-		inflightScale: 1,
-	}
 	e := &Engine{
 		cfg:        cfg,
 		topo:       cfg.Topology,
-		counters:   cha.NewCounters(cfg.Topology.NumTiers(), cfg.CHANoiseStdDev, chaRNG),
-		tenants:    []*tenantState{ts},
+		counters:   cha.NewCounters(numTiers, cfg.CHANoiseStdDev, root.Split(1)),
+		ledger:     memsys.NewLedger(len(specs), numTiers),
+		shared:     migrate.NewSharedBudget(cfg.MigrationLimitBytesPerSec),
 		antagonist: workloads.AntagonistForIntensity(cfg.Antagonist),
 	}
-	ts.sampler = access.NewSampler(as, root.Split(4))
-	ts.sampler.SetWorkers(cfg.Workers)
-	// Split 5 is reserved for scenario randomness so that installing a
-	// scenario never perturbs the workload/system/sampler streams.
-	e.rngScenario = root.Split(5)
-	ts.rngScenario = e.rngScenario
-	ts.system = bo.system
-	ts.migrator.SetObs(cfg.Obs)
 	e.counters.SetObs(cfg.Obs)
-	ts.sampler.SetObs(cfg.Obs)
 	e.mQuanta = cfg.Obs.Counter("sim_quanta")
 	e.hIters = cfg.Obs.Histogram("sim_solver_iters")
+	// The unnamed tenant splits its streams straight off the root (splits
+	// 2-4) and records into the root registry. Named tenants fork theirs
+	// from root split 2 by name, so they depend on (seed, name) alone —
+	// never on how many tenants came before — and record under
+	// "tenant.<name>.".
+	streams := root
+	if named {
+		streams = root.Split(2)
+	}
+	for i, spec := range specs {
+		base, reg := streams, cfg.Obs
+		if named {
+			base = streams.Fork("tenant:" + spec.Name)
+			reg = cfg.Obs.Scoped("tenant." + spec.Name + ".")
+		}
+		pageBytes, tenantHeat := spec.PageBytes, cfg.Heat
+		if pageBytes == 0 {
+			pageBytes = cfg.PageBytes
+		}
+		if spec.Heat != nil {
+			tenantHeat = *spec.Heat
+		}
+		view, err := cfg.Topology.TenantView(e.ledger, i, spec.CapacityQuota)
+		if err != nil {
+			return nil, fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
+		}
+		// First-fit placement happens against the view, so earlier
+		// tenants' ledger rows (synced below) shape where this tenant
+		// lands — exactly the sequential-arrival admission a cluster
+		// performs.
+		as, err := pages.NewAddressSpace(view, spec.WorkingSetBytes, pageBytes)
+		if err != nil {
+			return nil, fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
+		}
+		as.SetWorkers(cfg.Workers)
+		ts := &tenantState{
+			name:          spec.Name,
+			as:            as,
+			topo:          view,
+			migrator:      migrate.NewEngine(as, numTiers, spec.MigrationLimitBytesPerSec),
+			system:        spec.System,
+			profile:       spec.Profile,
+			heat:          tenantHeat,
+			rngWorkload:   base.Split(2),
+			rngSystem:     base.Split(3),
+			obs:           reg,
+			inflightScale: 1,
+		}
+		ts.sampler = access.NewSampler(as, base.Split(4))
+		ts.sampler.SetWorkers(cfg.Workers)
+		ts.migrator.SetShared(e.shared)
+		ts.migrator.SetObs(reg)
+		ts.sampler.SetObs(reg)
+		e.tenants = append(e.tenants, ts)
+		e.syncLedger(i)
+		if spec.Scenario != nil {
+			if err := spec.Scenario.Validate(numTiers); err != nil {
+				return nil, fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
+			}
+			if spec.Scenario.MutatesTopology() {
+				return nil, fmt.Errorf("sim: tenant %q: scenario mutates the shared topology; machine-wide faults belong on the cluster-level WithScenario", spec.Name)
+			}
+			e.installScenario(ts, spec.Scenario)
+		}
+	}
 	if bo.scenario != nil {
-		e.installScenario(ts, bo.scenario)
+		// The unnamed tenant owns the run's timeline; with named tenants
+		// it is machine-wide (tenant-targeted events were rejected above).
+		var owner *tenantState
+		if !named {
+			owner = e.tenants[0]
+		}
+		e.installScenario(owner, bo.scenario)
 	}
 	return e, nil
 }
 
-// clusterRejects lists the cluster-level scenario event types that
-// target a single tenant and so are ambiguous machine-wide.
-func clusterScenarioOK(sc *scenario.Scenario) error {
-	for _, ev := range sc.Sorted() {
-		switch ev.(type) {
-		case scenario.ProfileSwitch, scenario.WorkloadShift, scenario.MigrationStall:
-			return fmt.Errorf("sim: cluster-level scenario event %T targets a single tenant; put it on that TenantSpec.Scenario", ev)
+// tenantSpecs validates cfg against the options, resolves cfg's
+// defaults in place and returns the tenants to build, in name order.
+// Without WithTenant/WithTenants that is one unnamed tenant made from
+// Config.WorkingSetBytes, Config.Profile and the WithSystem system; its
+// own migration limit is the machine-wide one, which TPP and MEMTIS
+// read back through migrate.Engine.StaticLimitBytesPerSec.
+func (bo *buildOptions) tenantSpecs(cfg *Config) ([]TenantSpec, error) {
+	if len(bo.tenants) == 0 {
+		if bo.profile != nil {
+			cfg.Profile = *bo.profile
 		}
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		*cfg = cfg.WithDefaults()
+		return []TenantSpec{{
+			WorkingSetBytes:           cfg.WorkingSetBytes,
+			Profile:                   cfg.Profile,
+			System:                    bo.system,
+			MigrationLimitBytesPerSec: cfg.MigrationLimitBytesPerSec,
+		}}, nil
 	}
-	return nil
-}
-
-// newCluster assembles a cluster-mode engine: tenants sorted by name,
-// per-tenant capacity views over one ledger, per-tenant migrators
-// draining one shared budget, per-tenant RNG streams forked from the
-// tenant name, and per-tenant obs namespaces on the shared registry.
-func newCluster(cfg Config, bo *buildOptions) (*Engine, error) {
 	var errs []error
 	if bo.system != nil {
 		errs = append(errs, fmt.Errorf("sim: WithSystem conflicts with tenants (set System per TenantSpec)"))
@@ -622,13 +634,17 @@ func newCluster(cfg Config, bo *buildOptions) (*Engine, error) {
 	if cfg.Profile != (workloads.Profile{}) {
 		errs = append(errs, fmt.Errorf("sim: Config.Profile must be unset with tenants (set it per TenantSpec)"))
 	}
-	if bo.antagonist != nil {
-		cfg.Antagonist = *bo.antagonist
-	}
-	if bo.heat != nil {
-		cfg.Heat = *bo.heat
-	}
 	errs = append(errs, cfg.validateShared()...)
+	if bo.scenario != nil {
+		// Tenant-targeted events are ambiguous on the machine-wide
+		// timeline.
+		for _, ev := range bo.scenario.Events {
+			switch ev.(type) {
+			case scenario.ProfileSwitch, scenario.WorkloadShift, scenario.MigrationStall:
+				errs = append(errs, fmt.Errorf("sim: cluster-level scenario event %T targets a single tenant; put it on that TenantSpec.Scenario", ev))
+			}
+		}
+	}
 
 	// Order tenants by name: the spec set, not registration order,
 	// determines every downstream bit (ledger rows, solver source
@@ -652,106 +668,12 @@ func newCluster(cfg Config, bo *buildOptions) (*Engine, error) {
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	if bo.scenario != nil {
-		if err := bo.scenario.Validate(cfg.Topology.NumTiers()); err != nil {
-			return nil, err
-		}
-		if err := clusterScenarioOK(bo.scenario); err != nil {
-			return nil, err
-		}
-		if bo.scenario.MutatesTopology() {
-			// Clone before the tenant views are built so they share the
-			// clone's tiers, not the caller's.
-			cfg.Topology = cfg.Topology.Clone()
-		}
-	}
-	numTiers := cfg.Topology.NumTiers()
-	root := stats.NewRNG(cfg.Seed)
-	chaRNG := root.Split(1)
-	tenantRoot := root.Split(2)
-	e := &Engine{
-		cfg:        cfg,
-		topo:       cfg.Topology,
-		counters:   cha.NewCounters(numTiers, cfg.CHANoiseStdDev, chaRNG),
-		clustered:  true,
-		ledger:     memsys.NewLedger(len(specs), numTiers),
-		shared:     migrate.NewSharedBudget(cfg.MigrationLimitBytesPerSec),
-		antagonist: workloads.AntagonistForIntensity(cfg.Antagonist),
-	}
-	e.rngScenario = root.Split(5)
-	e.counters.SetObs(cfg.Obs)
-	e.mQuanta = cfg.Obs.Counter("sim_quanta")
-	e.hIters = cfg.Obs.Histogram("sim_solver_iters")
-	for i, spec := range specs {
-		pageBytes := spec.PageBytes
-		if pageBytes == 0 {
-			pageBytes = cfg.PageBytes
-		}
-		view, err := cfg.Topology.TenantView(e.ledger, i, spec.CapacityQuota)
-		if err != nil {
-			return nil, fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
-		}
-		// First-fit placement happens against the view, so earlier
-		// tenants' ledger rows (synced below) shape where this tenant
-		// lands — exactly the sequential-arrival admission a cluster
-		// performs.
-		as, err := pages.NewAddressSpace(view, spec.WorkingSetBytes, pageBytes)
-		if err != nil {
-			return nil, fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
-		}
-		as.SetWorkers(cfg.Workers)
-		// Per-tenant streams are forked from the tenant's name, so they
-		// depend on (seed, name) alone — never on how many tenants came
-		// before this one.
-		base := tenantRoot.Fork("tenant:" + spec.Name)
-		scoped := cfg.Obs.Scoped("tenant." + spec.Name + ".")
-		tenantHeat := cfg.Heat
-		if spec.Heat != nil {
-			tenantHeat = *spec.Heat
-		}
-		ts := &tenantState{
-			name:          spec.Name,
-			as:            as,
-			topo:          view,
-			migrator:      migrate.NewEngine(as, numTiers, spec.MigrationLimitBytesPerSec),
-			system:        spec.System,
-			profile:       spec.Profile,
-			heat:          tenantHeat,
-			rngWorkload:   base.Split(2),
-			rngSystem:     base.Split(3),
-			obs:           scoped,
-			inflightScale: 1,
-		}
-		ts.sampler = access.NewSampler(as, base.Split(4))
-		ts.sampler.SetWorkers(cfg.Workers)
-		ts.rngScenario = base.Split(5)
-		ts.migrator.SetShared(e.shared)
-		ts.migrator.SetObs(scoped)
-		ts.sampler.SetObs(scoped)
-		e.tenants = append(e.tenants, ts)
-		e.syncLedger(i)
-		if spec.Scenario != nil {
-			if err := spec.Scenario.Validate(numTiers); err != nil {
-				return nil, fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
-			}
-			if spec.Scenario.MutatesTopology() {
-				return nil, fmt.Errorf("sim: tenant %q: scenario mutates the shared topology; machine-wide faults belong on the cluster-level WithScenario", spec.Name)
-			}
-			e.installScenario(ts, spec.Scenario)
-		}
-	}
-	if bo.scenario != nil {
-		e.installScenario(nil, bo.scenario)
-	}
-	return e, nil
+	*cfg = cfg.WithDefaults()
+	return specs, nil
 }
 
 // syncLedger refreshes tenant i's ledger row from its address space.
 func (e *Engine) syncLedger(i int) {
-	if e.ledger == nil {
-		return
-	}
 	n := e.topo.NumTiers()
 	if cap(e.usageBuf) < n {
 		e.usageBuf = make([]int64, n)
@@ -778,10 +700,20 @@ func (e *Engine) SyncTenantUsage() {
 // inserted in firing order (stable for equal times), so the queue's
 // equal-time FIFO preserves the scenario's declared order; the trailing
 // edge of a windowed event (dropout end) schedules alongside. ts is the
-// tenant the timeline belongs to; nil is the cluster-level timeline,
-// whose tenant-targeted event types were rejected at validation.
+// tenant the timeline belongs to; nil is the machine-wide timeline of
+// named tenants, whose tenant-targeted event types were rejected at
+// validation. Each entry also emits obs.EvScenarioEvent into its
+// owner's registry (the root one for a nil owner) as it fires.
 func (e *Engine) installScenario(ts *tenantState, sc *scenario.Scenario) {
-	for _, ev := range sc.Sorted() {
+	reg := e.cfg.Obs
+	if ts != nil {
+		reg = ts.obs
+	}
+	for i, ev := range sc.Sorted() {
+		at, index := ev.When(), float64(i)
+		e.ScheduleAt(at, func(*Engine) {
+			reg.Emit(obs.EvScenarioEvent, obs.F("at_sec", at), obs.F("index", index))
+		})
 		switch ev := ev.(type) {
 		case scenario.AntagonistStep:
 			cores := workloads.AntagonistForIntensity(ev.Intensity).Cores
@@ -837,15 +769,11 @@ func (e *Engine) installScenario(ts *tenantState, sc *scenario.Scenario) {
 }
 
 // AS exposes the first tenant's address space for workload installation
-// and inspection (the only tenant in single-workload mode).
+// and inspection (the unnamed tenant of a single-workload run).
 func (e *Engine) AS() *pages.AddressSpace { return e.tenants[0].as }
 
 // Topology returns the shared physical tier set.
 func (e *Engine) Topology() *memsys.Topology { return e.topo }
-
-// Migrator returns the first tenant's migration engine (for direct
-// manipulation in oracle sweeps).
-func (e *Engine) Migrator() *migrate.Engine { return e.tenants[0].migrator }
 
 // WorkloadRNG returns the first tenant's workload stream so installs
 // and shifts are reproducible per seed.
@@ -854,32 +782,15 @@ func (e *Engine) WorkloadRNG() *stats.RNG { return e.tenants[0].rngWorkload }
 // TimeSec returns current simulation time.
 func (e *Engine) TimeSec() float64 { return e.timeSec }
 
-// ScenarioRNG returns the stream reserved for scenario randomness
-// (root split 5; allocated whether or not a scenario is installed, so
-// adding one never perturbs the other streams).
-func (e *Engine) ScenarioRNG() *stats.RNG { return e.rngScenario }
-
-// CurrentProfile returns the first tenant's active traffic profile —
-// the configured one until a ProfileSwitch event replaces it.
-func (e *Engine) CurrentProfile() workloads.Profile { return e.tenants[0].profile }
-
 // AntagonistCores returns the contention generator's current core
 // count — the configured value until an AntagonistStep event replaces
 // it.
 func (e *Engine) AntagonistCores() int { return e.antagonist.Cores }
 
-// Clustered reports whether the engine was built with tenants.
-func (e *Engine) Clustered() bool { return e.clustered }
-
-// NumTenants returns the tenant count (1 in single-workload mode).
+// NumTenants returns the tenant count (1 in a single-workload run).
 func (e *Engine) NumTenants() int { return len(e.tenants) }
 
-// SharedMigrationBudget returns the cluster-wide proactive-migration
-// bucket (nil in single-workload mode).
-func (e *Engine) SharedMigrationBudget() *migrate.SharedBudget { return e.shared }
-
-// Ledger returns the cluster capacity ledger (nil in single-workload
-// mode).
+// Ledger returns the capacity ledger, one row per tenant in name order.
 func (e *Engine) Ledger() *memsys.Ledger { return e.ledger }
 
 // TenantHandle is a read-mostly view of one tenant's slice of the
@@ -905,7 +816,7 @@ func (e *Engine) TenantByName(name string) (TenantHandle, bool) {
 // Index returns the tenant's position in name order (its ledger row).
 func (h TenantHandle) Index() int { return h.i }
 
-// Name returns the tenant's name ("" in single-workload mode).
+// Name returns the tenant's name ("" for the unnamed tenant).
 func (h TenantHandle) Name() string { return h.e.tenants[h.i].name }
 
 // AS returns the tenant's address space (install workload weights
@@ -918,22 +829,24 @@ func (h TenantHandle) Topology() *memsys.Topology { return h.e.tenants[h.i].topo
 // Migrator returns the tenant's migration engine.
 func (h TenantHandle) Migrator() *migrate.Engine { return h.e.tenants[h.i].migrator }
 
-// WorkloadRNG returns the tenant's workload stream (forked from the
-// tenant name, so installs are registration-order independent).
+// WorkloadRNG returns the tenant's workload stream (a named tenant's is
+// forked from its name, so installs are registration-order
+// independent).
 func (h TenantHandle) WorkloadRNG() *stats.RNG { return h.e.tenants[h.i].rngWorkload }
 
 // System returns the tenant's tiering system (nil = static placement).
 func (h TenantHandle) System() System { return h.e.tenants[h.i].system }
 
-// Profile returns the tenant's active traffic profile.
+// Profile returns the tenant's active traffic profile — the configured
+// one until a ProfileSwitch event replaces it.
 func (h TenantHandle) Profile() workloads.Profile { return h.e.tenants[h.i].profile }
 
 // Heat returns the tenant's resolved tracking-fidelity spec: the
 // TenantSpec override when one was set, Config.Heat otherwise.
 func (h TenantHandle) Heat() heat.Spec { return h.e.tenants[h.i].heat }
 
-// Obs returns the tenant's scoped obs view (the root registry in
-// single-workload mode; nil when instrumentation is off).
+// Obs returns the tenant's scoped obs view (the root registry for the
+// unnamed tenant; nil when instrumentation is off).
 func (h TenantHandle) Obs() *obs.Registry { return h.e.tenants[h.i].obs }
 
 // Samples returns the tenant's recorded trace.
@@ -1021,9 +934,7 @@ func (e *Engine) Step() error {
 	// Let the systems observe and react; their migrations apply to the
 	// next quantum's placement and traffic. The shared budget accrues
 	// once, then tenants contend in name order.
-	if e.shared != nil {
-		e.shared.BeginQuantum(e.cfg.QuantumSec)
-	}
+	e.shared.BeginQuantum(e.cfg.QuantumSec)
 	for _, ts := range e.tenants {
 		ts.migrator.BeginQuantum(e.cfg.QuantumSec)
 	}
@@ -1092,8 +1003,8 @@ func (e *Engine) Run(seconds float64) error {
 	return nil
 }
 
-// Samples returns the first tenant's recorded trace (the only trace in
-// single-workload mode).
+// Samples returns the first tenant's recorded trace (the unnamed
+// tenant's in a single-workload run).
 func (e *Engine) Samples() []Sample { return e.tenants[0].samples }
 
 // LastEquilibrium returns the most recent solved quantum (nil before

@@ -219,7 +219,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestNegativeMigrationLimitRejected(t *testing.T) {
-	// Regression: withDefaults only special-cases NoMigrationLimit (-1);
+	// Regression: WithDefaults only special-cases NoMigrationLimit (-1);
 	// any other negative limit used to flow through to migrate.NewEngine.
 	topo := memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote())
 	g := workloads.DefaultGUPS()
@@ -348,13 +348,13 @@ func TestValidateReportsAllProblems(t *testing.T) {
 }
 
 func TestNoCHANoiseSentinel(t *testing.T) {
-	// Regression: withDefaults treats CHANoiseStdDev == 0 as "use the
+	// Regression: WithDefaults treats CHANoiseStdDev == 0 as "use the
 	// default", so truly noiseless counters need an explicit sentinel,
 	// mirroring NoMigrationLimit.
-	if got := (Config{CHANoiseStdDev: NoCHANoise}).withDefaults().CHANoiseStdDev; got != 0 {
+	if got := (Config{CHANoiseStdDev: NoCHANoise}).WithDefaults().CHANoiseStdDev; got != 0 {
 		t.Fatalf("NoCHANoise maps to stddev %v, want 0", got)
 	}
-	if got := (Config{}).withDefaults().CHANoiseStdDev; got != 0.01 {
+	if got := (Config{}).WithDefaults().CHANoiseStdDev; got != 0.01 {
 		t.Fatalf("zero maps to stddev %v, want default 0.01", got)
 	}
 

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"colloid/internal/memsys"
+	"colloid/internal/migrate"
 	"colloid/internal/obs"
 	"colloid/internal/pages"
 	"colloid/internal/scenario"
@@ -56,8 +58,8 @@ func clusterEngine(t *testing.T, cfg Config, opts ...Option) *Engine {
 func TestClusterStepsAndSamplesAllTenants(t *testing.T) {
 	e := clusterEngine(t, Config{Topology: smallTopo(), PageBytes: tPage, Seed: 7, SampleEverySec: 0.1},
 		WithTenants(spec("b", 40), spec("a", 60)))
-	if !e.Clustered() || e.NumTenants() != 2 {
-		t.Fatalf("clustered = %v, tenants = %d", e.Clustered(), e.NumTenants())
+	if e.NumTenants() != 2 {
+		t.Fatalf("tenants = %d, want 2", e.NumTenants())
 	}
 	// Name order, not registration order.
 	if got := e.Tenant(0).Name(); got != "a" {
@@ -228,4 +230,101 @@ func TestClusterCapacityQuota(t *testing.T) {
 	if got := e.Tenant(1).AS().TierBytes(memsys.DefaultTier); got == 0 {
 		t.Error("tenant b was starved out of the default tier")
 	}
+}
+
+// Without WithTenant(s) the engine is a cluster of one unnamed tenant:
+// its ledger row tracks the address space through the system's moves,
+// and its capacity view is the whole physical topology.
+func TestSingleTenantIsClusterOfOne(t *testing.T) {
+	topo := smallTopo()
+	d := &demoter{}
+	e, err := New(Config{Topology: topo, WorkingSetBytes: 100 * tPage, PageBytes: tPage,
+		Profile: smallProfile("p"), Seed: 7}, WithSystem(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	installUniform(e.AS())
+	if e.NumTenants() != 1 || e.Tenant(0).Name() != "" {
+		t.Fatalf("tenants = %d, tenant 0 named %q; want one unnamed tenant", e.NumTenants(), e.Tenant(0).Name())
+	}
+	if err := e.Run(0.2); err != nil {
+		t.Fatal(err)
+	}
+	if d.moved == 0 {
+		t.Fatal("system never migrated, so the ledger was never exercised")
+	}
+	led := e.Ledger()
+	if led == nil || led.NumTenants() != 1 {
+		t.Fatalf("ledger = %v, want one row", led)
+	}
+	for tier := 0; tier < topo.NumTiers(); tier++ {
+		id := memsys.TierID(tier)
+		if got, want := led.Usage(0, id), e.AS().TierBytes(id); got != want {
+			t.Errorf("ledger tier %d = %d, address space says %d", tier, got, want)
+		}
+		if got, want := e.Tenant(0).Topology().Capacity(id), topo.Capacity(id); got != want {
+			t.Errorf("view capacity tier %d = %d, physical %d", tier, got, want)
+		}
+	}
+}
+
+// Every scenario timeline entry emits one EvScenarioEvent into its
+// owner's registry as it fires, in declared order: the root registry
+// for the unnamed tenant and for the machine-wide timeline of named
+// tenants, "tenant.<name>." for a named tenant's own timeline.
+func TestScenarioEventPerTimelineEntry(t *testing.T) {
+	timeline := &scenario.Scenario{Name: "steps", Events: []scenario.Event{
+		scenario.ProfileSwitch{AtSec: 0.05, Profile: smallProfile("x")},
+		scenario.ProfileSwitch{AtSec: 0.05, Profile: smallProfile("y")},
+		scenario.MigrationStall{AtSec: 0.12, Fault: migrate.FaultStall, Quanta: 2},
+		scenario.ProfileSwitch{AtSec: 0.2, Profile: smallProfile("z")},
+	}}
+	machine := &scenario.Scenario{Name: "machine", Events: []scenario.Event{
+		scenario.AntagonistStep{AtSec: 0.1, Intensity: workloads.Intensity1x},
+	}}
+	check := func(t *testing.T, reg *obs.Registry, kind string, sc *scenario.Scenario) {
+		t.Helper()
+		var got []obs.Event
+		for _, ev := range reg.Events() {
+			if ev.Kind == kind {
+				got = append(got, ev)
+			}
+		}
+		if len(got) != len(sc.Events) {
+			t.Fatalf("%d %s events, want one per timeline entry (%d)", len(got), kind, len(sc.Events))
+		}
+		for i, ev := range got {
+			want := []obs.Field{obs.F("at_sec", sc.Events[i].When()), obs.F("index", float64(i))}
+			if !reflect.DeepEqual(ev.Fields, want) {
+				t.Errorf("%s event %d fields = %v, want %v", kind, i, ev.Fields, want)
+			}
+		}
+	}
+	t.Run("unnamed", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		reg.EnableTrace(0)
+		e, err := New(Config{Topology: smallTopo(), WorkingSetBytes: 40 * tPage, PageBytes: tPage,
+			Profile: smallProfile("p"), Seed: 5, Obs: reg}, WithScenario(timeline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		installUniform(e.AS())
+		if err := e.Run(0.3); err != nil {
+			t.Fatal(err)
+		}
+		check(t, reg, obs.EvScenarioEvent, timeline)
+	})
+	t.Run("named", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		reg.EnableTrace(0)
+		a := spec("a", 40)
+		a.Scenario = timeline
+		e := clusterEngine(t, Config{Topology: smallTopo(), PageBytes: tPage, Seed: 5, Obs: reg},
+			WithTenants(a, spec("b", 40)), WithScenario(machine))
+		if err := e.Run(0.3); err != nil {
+			t.Fatal(err)
+		}
+		check(t, reg, "tenant.a."+obs.EvScenarioEvent, timeline)
+		check(t, reg, obs.EvScenarioEvent, machine)
+	})
 }

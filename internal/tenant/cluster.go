@@ -128,9 +128,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.DemotePagesPerQuantum == 0 {
 		cfg.DemotePagesPerQuantum = 32
 	}
-	if cfg.QuantumSec == 0 {
-		cfg.QuantumSec = 0.01
-	}
+	// Run counts steps at the quantum the engine resolves.
+	cfg.QuantumSec = sim.Config{QuantumSec: cfg.QuantumSec}.WithDefaults().QuantumSec
 
 	// Sort tenants by name so every derived structure (engine indices,
 	// victim order, report order) is registration-order independent.
@@ -237,24 +236,18 @@ func partitionIsolated(cfg Config, specs []sim.TenantSpec) error {
 	if weightSum <= 0 {
 		return fmt.Errorf("tenant: isolated policy needs positive working sets")
 	}
-	// Resolve the machine-wide migration cap the way sim does, so the
-	// per-tenant slices partition the limit actually enforced.
-	machineLimit := cfg.MigrationLimitBytesPerSec
-	if machineLimit == 0 {
-		machineLimit = sim.DefaultMigrationLimit
-	} else if machineLimit == sim.NoMigrationLimit {
-		machineLimit = 0
-	}
+	// Resolve the machine-wide migration cap and the page size through
+	// sim's own defaulting, so the per-tenant slices partition the limit
+	// actually enforced.
+	def := sim.Config{PageBytes: cfg.PageBytes, MigrationLimitBytesPerSec: cfg.MigrationLimitBytesPerSec}.WithDefaults()
+	machineLimit := def.MigrationLimitBytesPerSec
 	numTiers := cfg.Topology.NumTiers()
 	var errs []error
 	for i, t := range cfg.Tenants {
 		share := t.Class.Weight() * float64(t.WorkingSetBytes) / weightSum
 		pb := t.PageBytes
 		if pb == 0 {
-			pb = cfg.PageBytes
-		}
-		if pb == 0 {
-			pb = pages.HugePageBytes
+			pb = def.PageBytes
 		}
 		quota := make([]int64, numTiers)
 		var total int64
